@@ -4,7 +4,7 @@
 — the phases, the selected nodes, the view and base deltas, side-effect
 witnesses, SAT statistics — the way a DBA would want to read an update
 plan.  ``explain_views`` documents the edge-view definitions of an ATG
-(their SQL, parameters, and key layout).
+(their SQL, parameters, key layout, and compiled delta-join plans).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _node(store: ViewStore | None, node: int) -> str:
 
 
 def explain_views(registry: EdgeViewRegistry) -> str:
-    """Render every edge-view definition of an ATG."""
+    """Render every edge-view definition of an ATG and its plans."""
     lines: list[str] = []
     for view in registry.views():
         lines.append(f"{view.name}  (parent params: {view.param_names})")
@@ -87,6 +87,7 @@ def explain_views(registry: EdgeViewRegistry) -> str:
             attrs = [attr for _, attr in slots]
             lines.append(f"  source {alias} = {relation}, key {tuple(attrs)}")
         lines.append(f"  SQL: {select_sql(view.query)}")
+        lines.append(view.plans.explain())
     return "\n".join(lines)
 
 

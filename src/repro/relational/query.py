@@ -17,7 +17,7 @@ module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import QueryError
 from repro.relational.conditions import (
@@ -184,7 +184,10 @@ class SPJQuery:
         result = QueryResult()
         for assignment in assignments:
             if residual and not all(
-                _eval_pred(pred, assignment, self, db) for pred in residual
+                eval_predicate(
+                    pred, lambda col: _column_value(col, assignment, self, db)
+                )
+                for pred in residual
             ):
                 continue
             out = tuple(
@@ -417,28 +420,30 @@ def _column_value(
     return row[schema.index_of(col.attr)]
 
 
-def _eval_pred(
-    pred: Predicate, assignment: Assignment, query: SPJQuery, db: Database
-) -> bool:
+def eval_predicate(pred: Predicate, value_of: Callable[[Col], object]) -> bool:
+    """Concrete truth of ``pred``, reading each column through ``value_of``.
+
+    A comparison whose values cannot be compared (``TypeError``) is false.
+    """
     if isinstance(pred, _Comparison):
-        left = _term_value(pred.left, assignment, query, db)
-        right = _term_value(pred.right, assignment, query, db)
+        left = _term_value(pred.left, value_of)
+        right = _term_value(pred.right, value_of)
         try:
             return pred.evaluate(left, right)
         except TypeError:
             return False
     if isinstance(pred, And):
-        return all(_eval_pred(p, assignment, query, db) for p in pred.parts)
+        return all(eval_predicate(p, value_of) for p in pred.parts)
     if isinstance(pred, Or):
-        return any(_eval_pred(p, assignment, query, db) for p in pred.parts)
+        return any(eval_predicate(p, value_of) for p in pred.parts)
     if isinstance(pred, Not):
-        return not _eval_pred(pred.part, assignment, query, db)
+        return not eval_predicate(pred.part, value_of)
     raise QueryError(f"cannot evaluate predicate {pred!r}")
 
 
-def _term_value(term, assignment: Assignment, query: SPJQuery, db: Database):
+def _term_value(term, value_of: Callable[[Col], object]):
     if isinstance(term, Col):
-        return _column_value(term, assignment, query, db)
+        return value_of(term)
     if isinstance(term, Const):
         return term.value
     raise QueryError(f"unbound term {term!r} at evaluation time")

@@ -17,12 +17,14 @@ insertions ``ΔR`` via SAT, in five stages:
 
 3. **Side-effect sweep.**  Every edge view is evaluated symbolically
    over ``I ∪ X`` restricted to derivations using at least one new
-   template (seed-position enumeration avoids duplicates).  Because view
-   rows project every base key and new templates carry keys absent from
-   ``I``, such a derivation can never equal an existing view row; it is
-   benign iff it *is* one of the targets (per-position symbolic
-   identity), otherwise its condition is negated — an unconditional
-   side effect rejects the update outright (case (a) in the paper).
+   template, by its compiled per-seed-position delta-join plans
+   (:mod:`repro.views.plans`; seed-position enumeration avoids
+   duplicates).  Because view rows project every base key and new
+   templates carry keys absent from ``I``, such a derivation can never
+   equal an existing view row; it is benign iff it *is* one of the
+   targets (per-position symbolic identity), otherwise its condition is
+   negated — an unconditional side effect rejects the update outright
+   (case (a) in the paper).
 
 4. **SAT.**  Variables get finite domains (their type's domain for BOOL;
    the constants of their connected component plus fresh "distinct"
@@ -40,7 +42,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import UpdateRejectedError
-from repro.relational.conditions import Col, Const, Eq, Predicate
+from repro.relational.conditions import Col, Const, Eq
 from repro.relational.database import Database, RelationalDelta
 from repro.relational.schema import AttrType
 from repro.relview.symbolic import (
@@ -370,18 +372,11 @@ def _build_templates(
         # Symbolic full view row of the target.
         target.row = tuple(
             alias_values[col.alias][
-                db.schema(_relation_of(query, col.alias)).index_of(col.attr)
+                db.schema(query.relation_of(col.alias)).index_of(col.attr)
             ]
             for _, col in query.project
         )
     return templates, assertions
-
-
-def _relation_of(query, alias: str) -> str:
-    for relation, a in query.tables:
-        if a == alias:
-            return relation
-    raise KeyError(alias)
 
 
 def _is_placeholder(cell) -> bool:
@@ -423,201 +418,32 @@ def _sweep_side_effects(
     db: Database,
     templates: dict[tuple[str, tuple], Template],
 ) -> list[Derivation]:
-    """Every symbolic derivation (of any view) using ≥1 new template."""
-    new_by_relation: dict[str, list[Template]] = {}
+    """Every symbolic derivation (of any view) using ≥1 new template.
+
+    The delta rule: each view's compiled plan for seed position ``i``
+    binds ``i`` to every new template of its relation and joins the rest
+    of the view by index probes; positions after ``i`` may take new
+    templates too, positions before it only base rows, so a derivation
+    is found once, at its first new template.
+    """
+    new_by_relation: dict[str, list[tuple]] = {}
     for template in templates.values():
         if template.is_new:
-            new_by_relation.setdefault(template.relation, []).append(template)
-    if not new_by_relation:
-        return []
+            new_by_relation.setdefault(template.relation, []).append(
+                template.values
+            )
     derivations: list[Derivation] = []
     for view in registry.views():
-        derivations.extend(_sweep_view(view, db, new_by_relation))
+        for (relation, _), plan in zip(view.query.tables, view.plans.sweep):
+            for seed in new_by_relation.get(relation, ()):
+                for row, atoms in plan.execute(
+                    db, seed, templates=new_by_relation, unify=make_atom,
+                    symbolic=SymVar,
+                ):
+                    derivations.append(
+                        Derivation(view.name, row, frozenset(atoms))
+                    )
     return derivations
-
-
-def _sweep_view(
-    view: EdgeView,
-    db: Database,
-    new_by_relation: dict[str, list[Template]],
-) -> list[Derivation]:
-    query = view.query
-    tables = list(query.tables)
-    relations = [relation for relation, _ in tables]
-    if not any(rel in new_by_relation for rel in relations):
-        return []
-    conjuncts = list(query.where.conjuncts())
-    out: list[Derivation] = []
-    for seed_pos, (relation, alias) in enumerate(tables):
-        for seed in new_by_relation.get(relation, ()):  # U at seed position
-            partial: dict[str, tuple] = {alias: seed.values}
-            atoms = _alias_atoms(db, query, conjuncts, alias, partial)
-            if atoms is None:
-                continue
-            out.extend(
-                _extend(
-                    view,
-                    db,
-                    new_by_relation,
-                    tables,
-                    conjuncts,
-                    seed_pos,
-                    partial,
-                    frozenset(atoms),
-                    skip={alias},
-                )
-            )
-    return out
-
-
-def _extend(
-    view: EdgeView,
-    db: Database,
-    new_by_relation: dict[str, list[Template]],
-    tables: list[tuple[str, str]],
-    conjuncts: list[Predicate],
-    seed_pos: int,
-    partial: dict[str, tuple],
-    atoms: frozenset[Atom],
-    skip: set[str],
-) -> list[Derivation]:
-    """Nested-loop extension of a partial symbolic assignment."""
-    remaining = [
-        (i, rel, alias)
-        for i, (rel, alias) in enumerate(tables)
-        if alias not in partial
-    ]
-    if not remaining:
-        row = tuple(
-            partial[col.alias][
-                db.schema(_relation_of_t(tables, col.alias)).index_of(col.attr)
-            ]
-            for _, col in view.query.project
-        )
-        return [Derivation(view.name, row, atoms)]
-    index, relation, alias = remaining[0]
-    out: list[Derivation] = []
-    candidates: list[tuple[tuple, bool]] = []
-    for row in _concrete_candidates(db, view.query, relation, alias, conjuncts, partial):
-        candidates.append((row, False))
-    if index > seed_pos:
-        # Positions after the seed may also take new templates.
-        for template in new_by_relation.get(relation, ()):  # U again
-            candidates.append((template.values, True))
-    for values, _is_template in candidates:
-        trial = dict(partial)
-        trial[alias] = values
-        extra = _alias_atoms(db, view.query, conjuncts, alias, trial)
-        if extra is None:
-            continue
-        out.extend(
-            _extend(
-                view,
-                db,
-                new_by_relation,
-                tables,
-                conjuncts,
-                seed_pos,
-                trial,
-                atoms | frozenset(extra),
-                skip,
-            )
-        )
-    return out
-
-
-def _relation_of_t(tables: list[tuple[str, str]], alias: str) -> str:
-    for relation, a in tables:
-        if a == alias:
-            return relation
-    raise KeyError(alias)
-
-
-def _concrete_candidates(
-    db: Database,
-    query,
-    relation: str,
-    alias: str,
-    conjuncts: list[Predicate],
-    partial: dict[str, tuple],
-) -> list[tuple]:
-    """Base rows for ``alias`` compatible with concrete bound values.
-
-    Uses indexed point lookups on equality conjuncts whose other side is
-    already bound to a *concrete* value.
-    """
-    table = db.table(relation)
-    eq_attrs: list[str] = []
-    eq_values: list[object] = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, Eq):
-            continue
-        pairs = [
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ]
-        for this, other in pairs:
-            if not (isinstance(this, Col) and this.alias == alias):
-                continue
-            if isinstance(other, Const):
-                eq_attrs.append(this.attr)
-                eq_values.append(other.value)
-            elif isinstance(other, Col) and other.alias in partial:
-                cell = _term_cell(db, query, partial, other)
-                if not isinstance(cell, SymVar):
-                    eq_attrs.append(this.attr)
-                    eq_values.append(cell)
-            break
-    if eq_attrs:
-        order = sorted(range(len(eq_attrs)), key=lambda i: eq_attrs[i])
-        attrs = tuple(eq_attrs[i] for i in order)
-        values = tuple(eq_values[i] for i in order)
-        if not table.has_index(attrs) and len(attrs) > 1:
-            # Fall back to the first single attribute.
-            attrs = (attrs[0],)
-            values = (values[0],)
-        return table.lookup(attrs, values)
-    return list(table.rows())
-
-
-def _alias_atoms(
-    db: Database,
-    query,
-    conjuncts: list[Predicate],
-    alias: str,
-    partial: dict[str, tuple],
-) -> list[Atom] | None:
-    """Check/collect conditions that became fully bound by adding ``alias``.
-
-    Returns ``None`` when a concrete condition fails; otherwise the atoms
-    contributed by symbolic comparisons.
-    """
-    atoms: list[Atom] = []
-    for conjunct in conjuncts:
-        if not isinstance(conjunct, Eq):
-            continue
-        cols = list(conjunct.columns())
-        if not any(c.alias == alias for c in cols):
-            continue
-        if any(c.alias not in partial for c in cols):
-            continue
-        left = _term_cell(db, query, partial, conjunct.left)
-        right = _term_cell(db, query, partial, conjunct.right)
-        result = make_atom(left, right)
-        if result is False:
-            return None
-        if result is not True:
-            atoms.append(result)
-    return atoms
-
-
-def _term_cell(db: Database, query, partial: dict[str, tuple], term):
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Col):
-        relation = _relation_of(query, term.alias)
-        return partial[term.alias][db.schema(relation).index_of(term.attr)]
-    raise UpdateRejectedError(f"unsupported term {term!r} in insertion sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -764,32 +590,56 @@ def _decode_valuation(
     """
     concrete: dict[SymVar, object] = {}
     token_values: dict[str, object] = {}
-    needed_vars = {v for t in new_templates for v in t.variables()}
-    for var in sorted(needed_vars, key=lambda v: v.name):
+    needed_vars = sorted(
+        {v for t in new_templates for v in t.variables()}, key=lambda v: v.name
+    )
+    int_tops = _int_maxima(
+        db, [var for var in needed_vars if _needs_fresh(valuation.get(var))]
+    )
+    for var in needed_vars:
         value = valuation.get(var)
         if value is None:
-            value = _fresh_value(db, var)
-        elif isinstance(value, str) and value.startswith("__fresh_"):
+            value = _fresh_value(var, int_tops)
+        elif _needs_fresh(value):
             token = value
             if token not in token_values:
-                token_values[token] = _fresh_value(db, var)
+                token_values[token] = _fresh_value(var, int_tops)
             value = token_values[token]
         concrete[var] = value
     return concrete
 
 
-def _fresh_value(db: Database, var: SymVar):
+def _needs_fresh(value) -> bool:
+    return value is None or (isinstance(value, str) and value.startswith("__fresh_"))
+
+
+def _int_maxima(db: Database, variables: list[SymVar]) -> dict[tuple[str, str], int]:
+    """Largest int (or 0) per INT column of ``variables``: one scan per
+    relation, however many of its columns are needed."""
+    columns: dict[str, set[str]] = {}
+    for var in variables:
+        if var.attr_type is AttrType.INT:
+            columns.setdefault(var.relation, set()).add(var.attr)
+    tops: dict[tuple[str, str], int] = {}
+    for relation, attrs in columns.items():
+        table = db.table(relation)
+        slots = [(attr, table.schema.index_of(attr)) for attr in sorted(attrs)]
+        best = dict.fromkeys(attrs, 0)
+        for row in table.rows():
+            for attr, index in slots:
+                value = row[index]
+                if isinstance(value, int) and value > best[attr]:
+                    best[attr] = value
+        tops.update(((relation, attr), top) for attr, top in best.items())
+    return tops
+
+
+def _fresh_value(var: SymVar, int_tops: dict[tuple[str, str], int]):
     """A value of the right type guaranteed outside the active domain."""
     _fresh_counter[0] += 1
     seq = _fresh_counter[0]
     if var.attr_type is AttrType.INT:
-        table = db.table(var.relation)
-        index = table.schema.index_of(var.attr)
-        top = 0
-        for row in table.rows():
-            if isinstance(row[index], int):
-                top = max(top, row[index])
-        return top + 1_000_000 + seq
+        return int_tops[(var.relation, var.attr)] + 1_000_000 + seq
     if var.attr_type is AttrType.FLOAT:
         return 1e12 + seq
     if var.attr_type is AttrType.BOOL:

@@ -12,7 +12,8 @@ The closed form answers two questions the Section-4 translation needs:
   ``Sr(Q, t)`` of Algorithm delete) — read directly off the projected
   keys;
 - which view tuples reference a given base tuple (the side-effect test) —
-  evaluated with the key pushed down as a selection.
+  a join compiled to start from that tuple's key
+  (:mod:`repro.views.plans`).
 
 The paper's own formulation joins the derived ``gen_A`` table to restrict
 parents to published ones; we instead close over *all* potential parents
@@ -25,13 +26,14 @@ over base relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.atg.model import ATG, QueryRule
 from repro.errors import ATGError
-from repro.relational.conditions import And, Col, Const, Eq, Param, Predicate
+from repro.relational.conditions import And, Col, Eq, Param, Predicate
 from repro.relational.database import Database
 from repro.relational.query import SPJQuery, QueryResult
+from repro.views.plans import ViewPlans, compile_view
 
 
 @dataclass
@@ -55,6 +57,9 @@ class EdgeView:
     key_layout:
         ``alias → (relation, [(output_index, attr), ...])`` describing
         where each base occurrence's key lives in an output row.
+    plans:
+        The compiled delta-join plans (:mod:`repro.views.plans`) behind
+        the side-effect sweep and the point queries below.
     """
 
     parent_type: str
@@ -63,6 +68,7 @@ class EdgeView:
     param_names: tuple[str, ...]
     child_columns: tuple[str, ...]
     key_layout: dict[str, tuple[str, list[tuple[int, str]]]]
+    plans: ViewPlans = field(repr=False, compare=False)
 
     # -- row accessors ------------------------------------------------------------
 
@@ -112,38 +118,20 @@ class EdgeView:
         self, db: Database, parent_params: tuple, child_sem: tuple
     ) -> list[tuple]:
         """View rows whose visible part equals the given edge."""
-        extra: list[Predicate] = []
-        for i, value in enumerate(parent_params):
-            extra.append(Eq(self.query.project[i][1], Const(value)))
-        for i, value in enumerate(child_sem):
-            extra.append(
-                Eq(self.query.project[self.n_params + i][1], Const(value))
-            )
-        narrowed = SPJQuery(
-            f"{self.query.name}__point",
-            self.query.tables,
-            self.query.project,
-            And(self.query.where, *extra),
-        )
-        return narrowed.evaluate(db).rows
+        args = tuple(parent_params) + tuple(child_sem)
+        return _rows(self.plans.matching.execute(db, args=args))
 
     def rows_referencing(
         self, db: Database, alias: str, key: tuple
     ) -> list[tuple]:
         """View rows whose ``alias`` occurrence is the base tuple ``key``."""
-        relation, slots = self.key_layout[alias]
-        schema_key_attrs = [attr for _, attr in slots]
-        extra = [
-            Eq(Col(alias, attr), Const(value))
-            for attr, value in zip(schema_key_attrs, key)
-        ]
-        narrowed = SPJQuery(
-            f"{self.query.name}__ref",
-            self.query.tables,
-            self.query.project,
-            And(self.query.where, *extra),
-        )
-        return narrowed.evaluate(db).rows
+        return _rows(self.plans.referencing[alias].execute(db, args=tuple(key)))
+
+
+def _rows(completions: list[tuple[tuple, tuple]]) -> list[tuple]:
+    # Distinct already: every completion projects the key of each
+    # occurrence, so two different completions give two different rows.
+    return [row for row, _ in completions]
 
 
 class EdgeViewRegistry:
@@ -183,8 +171,9 @@ def build_registry(
 
     With ``create_indexes`` (the default), secondary hash indexes are
     created on every base column used in an equality condition and on
-    every primary key, so the point queries issued by the translation
-    algorithms (``matching_rows``, ``rows_referencing``) avoid scans.
+    every primary key, so every probe of the compiled plans (the
+    side-effect sweep, ``matching_rows``, ``rows_referencing``) is an
+    index lookup rather than a scan.
     """
     views: dict[tuple[str, str], EdgeView] = {}
     for rule in atg.query_rules():
@@ -254,13 +243,25 @@ def _close_rule(atg: ATG, db: Database, rule: QueryRule) -> EdgeView:
         project,
         And(*kept) if kept else And(),
     )
+    child_columns = atg.signature(rule.child)
+    plans = compile_view(
+        f"edge_{rule.parent}_{rule.child}",
+        closed,
+        len(params) + len(child_columns),
+        {
+            alias: [attr for _, attr in slots]
+            for alias, (_, slots) in key_layout.items()
+        },
+        {relation: db.schema(relation) for relation, _ in closed.tables},
+    )
     return EdgeView(
         parent_type=rule.parent,
         child_type=rule.child,
         query=closed,
         param_names=tuple(params),
-        child_columns=atg.signature(rule.child),
+        child_columns=child_columns,
         key_layout=key_layout,
+        plans=plans,
     )
 
 
