@@ -13,13 +13,21 @@ subscription story); past some edge-list size the scan alone costs more
 than re-evaluating, so the registry degrades such events to coarse —
 the ROADMAP's "cost-based fallback", ``SubscriptionRegistry.coarse_threshold``.
 
-This benchmark measures both regimes against synthetic events of
-growing size (worst-case non-matching edges: the scan never
-short-circuits), records the measured crossover in ``BENCH_index.json``,
+This benchmark measures both regimes of the registry's batched
+decision pass (:meth:`SubscriptionRegistry.apply_batched`, the commit
+pipeline's maintain phase) against synthetic events of growing size
+(non-matching edges), records the measured crossover in
+``BENCH_index.json``,
 and sanity-checks that the shipped default
 (:data:`repro.subscribe.engine.DEFAULT_COARSE_THRESHOLD`) is within an
 order of magnitude of the measurement — thresholds should be measured,
 not guessed, but they also should not flap per machine.
+
+The batched pass probes a pattern index per edge instead of scanning
+every pattern of every subscription, so its fine regime is far cheaper
+per edge than the per-subscription scan it replaced: the crossover
+moved from ≈256–1024 edges (per-subscription scan) to ≈4096–16384
+(batched pass) at 16 standing queries, hence the two largest sizes.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from repro.workloads import make_query_set
 from repro.workloads.synthetic import SyntheticConfig, build_synthetic
 
 N_QUERIES = 16
-SIZES = (4, 16, 64, 256, 1024)
+SIZES = (4, 16, 64, 256, 1024, 4096, 16384)
 REPEATS = 5
 
 
@@ -55,9 +63,10 @@ def _service():
 def _event(service, n_edges: int) -> ViewEvent:
     """A fine event of ``n_edges`` worst-case (never-matching) edges.
 
-    Unmatched edge types force the scan to visit every pattern of every
-    subscription for every edge — exactly the regime the threshold
-    guards against.  The generation matches the current version so the
+    Unmatched edge types give the batched pass nothing to prune on
+    cheaply: every edge is probed against the pattern index and the
+    node-watch map, and the always-candidate (wildcard) subscriptions
+    scan it against their patterns.  The generation matches the current version so the
     handled subscriptions stay consistent for the next measurement.
     """
     return ViewEvent(
@@ -77,7 +86,7 @@ def _measure_regime(service, n_edges: int, coarse: bool) -> float:
     for _ in range(REPEATS):
         event = _event(service, n_edges)
         start = time.perf_counter()
-        registry.handle(event)
+        registry.apply_batched(event)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -88,6 +97,10 @@ def test_crossover_measured_and_recorded():
     runners, hence the perf marker; the measured records ship in
     ``BENCH_index.json``)."""
     service = _service()
+    # Warm both regimes first: first-call costs would otherwise land on
+    # whichever regime the smallest size measures first.
+    _measure_regime(service, SIZES[0], coarse=False)
+    _measure_regime(service, SIZES[0], coarse=True)
     crossover = None
     for n_edges in SIZES:
         fine = _measure_regime(service, n_edges, coarse=False)
@@ -100,8 +113,12 @@ def test_crossover_measured_and_recorded():
             "coarse_fallback", "auto", f"coarse_reeval:{n_edges}", coarse,
             queries=N_QUERIES,
         )
-        if crossover is None and fine > coarse:
-            crossover = n_edges
+        # The crossover is where fine starts losing *for good*: a noise
+        # flip at one small size followed by fine winning again resets it.
+        if fine > coarse:
+            crossover = crossover or n_edges
+        else:
+            crossover = None
     # Scanning a huge never-matching event must eventually lose to one
     # re-evaluation per subscription — otherwise the fallback is moot.
     assert crossover is not None, (
@@ -129,10 +146,9 @@ def test_fallback_keeps_results_correct_at_scale():
     service = open_view(
         dataset.atg,
         dataset.db,
-        config=ViewConfig(
-            side_effects="propagate", strict=False, coarse_event_threshold=8
-        ),
+        config=ViewConfig(side_effects="propagate", strict=False),
     )
+    service.subscriptions.coarse_threshold = 8
     subs = [service.subscribe(q) for q in make_query_set(dataset, count=8)]
     ops = make_workload(dataset, "delete", "W2", count=6)
     service.apply(ops)  # one batch: a wide coalesced flush event

@@ -1,22 +1,21 @@
-"""Lock-hold benchmark for the staged commit pipeline (the PR claim).
+"""Lock-hold benchmark for the commit pipeline.
 
 A writer holding the service's write lock blocks every reader and every
 other writer, so the cost that matters for concurrency is not commit
-latency but **lock hold time** — and before the phase split, the
-critical section contained everything: translation, ΔR application,
-Δ(M,L) repair, the per-subscription dependency scan and changefeed
-fan-out.  The staged pipeline keeps only plan → mutate → maintain under
-the lock, replaces the per-subscription scan with one pattern-bucket
-candidate pass plus the node-watch intersection, and publishes after
-release.
+latency but **lock hold time**.  The commit pipeline keeps only plan →
+mutate → maintain under the lock, replaces a per-subscription
+dependency scan with one pattern-bucket candidate pass plus the
+node-watch intersection, and publishes after release.
 
-Both modes run the identical op stream against identically built views
-at 1 / 64 / 512 standing subscriptions; results and published events
-must be byte-identical (``commit_pipeline=False`` is the measured
-pre-refactor baseline, not a different engine).  The acceptance claim:
-**≥ 3× lower lock hold time at 512 subscriptions**.  Timings land in
-``BENCH_index.json`` via ``conftest.record_bench`` under the
-``pipeline`` experiment.
+The same op stream runs against identically built views at 1 / 64 /
+512 standing subscriptions.  Published events and subscription results
+must match a fresh evaluation, and at 64 subscriptions the recorded
+golden (``tests/data/commit_path_golden.json``, captured when a legacy
+inline fan-out still existed and agreed byte for byte).  The gate:
+**lock hold at 512 subscriptions is at most 2× the hold at 1** — work
+under the lock must not grow with the number of subscriptions that
+skip.  Timings land in ``BENCH_index.json`` via
+``conftest.record_bench`` under the ``pipeline`` experiment.
 
 Workload shape: one subscription anchored on the toggled enrollment
 plus value-anchored standing queries on courses the op stream never
@@ -27,8 +26,9 @@ off the write lock.
 
 from __future__ import annotations
 
-import os
+import json
 import time
+from pathlib import Path
 
 import pytest
 from conftest import record_bench
@@ -60,23 +60,29 @@ SKIP_TEMPLATES = (
 )
 
 #: Toggle one enrollment tuple in the base database.  A base-relation
-#: round trip keeps the mutate phase small relative to the
-#: per-subscription scan the legacy mode performs under the lock.
+#: round trip keeps the mutate phase small, so any per-subscription work
+#: under the lock would dominate the hold time.
 DELETE = BaseUpdateOp(ops=(("delete", "enroll", ("S01", "CS650")),))
 INSERT = BaseUpdateOp(ops=(("insert", "enroll", ("S01", "CS650")),))
 
 
-def _build(n_subs: int, commit_pipeline: bool):
+#: The recorded single-path output for the 64-subscription stream.
+GOLDEN = (
+    Path(__file__).resolve().parent.parent
+    / "tests" / "data" / "commit_path_golden.json"
+)
+
+#: Allowed growth of lock hold from 1 to 512 subscriptions.
+MAX_HOLD_GROWTH = 2.0
+
+
+def _build(n_subs: int):
     reset_fresh_counter()
     atg, db = build_registrar()
     service = open_view(
         atg,
         db,
-        config=ViewConfig(
-            side_effects="propagate",
-            strict=False,
-            commit_pipeline=commit_pipeline,
-        ),
+        config=ViewConfig(side_effects="propagate", strict=False),
     )
     subs = [service.subscribe(MATCHING)]
     subs += [
@@ -87,25 +93,20 @@ def _build(n_subs: int, commit_pipeline: bool):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _warm_both_modes():
+def _warm():
     # First-use costs (imports, code caches, registrar build paths)
-    # otherwise land entirely on whichever mode runs first.
-    for mode in (True, False):
-        service, _ = _build(8, mode)
-        service.changefeed()
-        for i in range(10):
-            service.apply(DELETE if i % 2 == 0 else INSERT)
+    # otherwise land entirely on whichever measurement runs first.
+    service, _ = _build(8)
+    service.changefeed()
+    for i in range(10):
+        service.apply(DELETE if i % 2 == 0 else INSERT)
 
 
-def _run(n_subs: int, commit_pipeline: bool) -> dict:
-    """One mode's full measurement: timings + observable outputs."""
-    service, subs = _build(n_subs, commit_pipeline)
+def _run(n_subs: int) -> dict:
+    """One full measurement: timings + observable outputs."""
+    service, subs = _build(n_subs)
     feed = service.changefeed()
-    staged_base = (
-        service.pipeline.stats()["lock_hold_seconds"]
-        if commit_pipeline
-        else 0.0
-    )
+    hold_base = service.pipeline.stats()["lock_hold_seconds"]
     latency = 0.0
     published = []
     for i in range(COMMITS):
@@ -114,55 +115,53 @@ def _run(n_subs: int, commit_pipeline: bool) -> dict:
         service.apply(op)
         latency += time.perf_counter() - start
         # Drain outside the timed region so queue depth never feeds
-        # back into either mode's measurement.
+        # back into the measurement.
         published.extend(e.to_dict() for e in feed.events())
-    if commit_pipeline:
-        lock_hold = (
-            service.pipeline.stats()["lock_hold_seconds"] - staged_base
-        )
-    else:
-        # Legacy single-phase commit: the write lock is held for the
-        # whole of apply(), so wall time *is* hold time.
-        lock_hold = latency
+    lock_hold = service.pipeline.stats()["lock_hold_seconds"] - hold_base
+    for sub in subs:
+        assert sub.result() == tuple(
+            sorted(service.xpath(sub.path).targets)
+        ), sub.path
     return {
         "lock_hold": lock_hold,
         "latency": latency,
         "published": published,
-        "results": [(sub.path, sub.result(), sub.delta()) for sub in subs],
+        "subscriptions": [
+            {
+                "path": sub.path,
+                "result": list(sub.result()),
+                "delta": [list(side) for side in sub.delta()],
+                "stats": dict(sub.stats),
+            }
+            for sub in subs
+        ],
         "skips": service.subscriptions.stats()["skips"],
     }
 
 
-def _measure(n_subs: int) -> tuple[dict, dict]:
-    staged = _run(n_subs, commit_pipeline=True)
-    legacy = _run(n_subs, commit_pipeline=False)
-    # The refactor claim is about *where* work runs, never *what* it
-    # produces: identical events and identical subscription state.
-    assert staged["published"] == legacy["published"]
-    assert staged["results"] == legacy["results"]
-    assert staged["skips"] == legacy["skips"]
-    return staged, legacy
+def _best_hold(n_subs: int) -> float:
+    # Best-of-3 (the repo's standard noise estimator, see
+    # test_coarse_fallback): scheduler hiccups only ever inflate a
+    # timing, so the minimum is the least-noisy estimate.
+    return min(_run(n_subs)["lock_hold"] for _ in range(3))
 
 
 @pytest.mark.parametrize("n_subs", SUB_COUNTS)
 def test_pipeline_modes_agree_and_record(n_subs):
-    staged, legacy = _measure(n_subs)
+    staged = _run(n_subs)
     experiment = f"pipeline:subs{n_subs}"
     extra = {"subscriptions": n_subs, "commits": COMMITS}
     record_bench(
-        experiment, "auto", "legacy_lock_hold", legacy["lock_hold"], **extra
-    )
-    record_bench(
         experiment, "auto", "staged_lock_hold", staged["lock_hold"], **extra
-    )
-    record_bench(
-        experiment, "auto", "legacy_commit_latency",
-        legacy["latency"], **extra,
     )
     record_bench(
         experiment, "auto", "staged_commit_latency",
         staged["latency"], **extra,
     )
+    if n_subs == 64:
+        golden = json.loads(GOLDEN.read_text())["pipeline64"]
+        assert staged["published"] == golden["events"]
+        assert staged["subscriptions"] == golden["subscriptions"]
     # The stream must exercise the skip fast path, or the candidate
     # pass is not what is being measured.
     if n_subs > 1:
@@ -170,31 +169,23 @@ def test_pipeline_modes_agree_and_record(n_subs):
 
 
 @pytest.mark.perf
-def test_staged_lock_hold_3x_lower_at_512_subs():
-    """Acceptance: ≥3× lower writer lock hold at 512 subscriptions."""
-    # Best-of-3 per mode (the repo's standard noise estimator, see
-    # test_coarse_fallback): scheduler hiccups only ever inflate a
-    # timing, so the minimum is the least-noisy estimate of each
-    # mode's true cost.
-    staged_hold = float("inf")
-    legacy_hold = float("inf")
-    for _ in range(3):
-        staged, legacy = _measure(LARGEST)
-        staged_hold = min(staged_hold, staged["lock_hold"])
-        legacy_hold = min(legacy_hold, legacy["lock_hold"])
-    ratio = legacy_hold / max(staged_hold, 1e-9)
+def test_staged_lock_hold_flat_from_1_to_512_subs():
+    """Gate: lock hold at 512 skip-only subscriptions ≤ 2× the hold at 1.
+
+    A per-subscription scan under the lock (what the removed inline
+    fan-out did) held the lock 36.2 ms at 512 subscriptions vs 9.6 ms
+    at 1 over 24 commits (best-of-3, 2-vCPU Linux VM), so any return of
+    one fails this gate; the pipeline measured 8.2 vs 7.1 ms there.
+    """
+    one = _best_hold(min(SUB_COUNTS))
+    many = _best_hold(LARGEST)
+    growth = many / max(one, 1e-9)
     record_bench(
-        f"pipeline:subs{LARGEST}", "auto", "lock_hold_reduction",
-        0.0, ratio=round(ratio, 2),
+        f"pipeline:subs{LARGEST}", "auto", "lock_hold_growth_vs_1",
+        0.0, ratio=round(growth, 2),
     )
-    # The 3x bar is the paper-grade claim, enforced on calm machines
-    # (REPRO_BENCH_STRICT=1, as CI's perf leg sets); the loose floor
-    # still proves the staged pipeline wins without flaking on noisy
-    # shared runners.
-    floor = 3.0 if os.environ.get("REPRO_BENCH_STRICT") else 1.2
-    assert ratio >= floor, (
-        f"staged pipeline lock hold only {ratio:.2f}x lower than the "
-        f"legacy critical section at {LARGEST} subscriptions "
-        f"(best-of-3: legacy {legacy_hold:.4f}s vs "
-        f"staged {staged_hold:.4f}s over {COMMITS} commits)"
+    assert growth <= MAX_HOLD_GROWTH, (
+        f"lock hold grows {growth:.2f}x from 1 to {LARGEST} "
+        f"subscriptions (best-of-3: {one:.4f}s vs {many:.4f}s over "
+        f"{COMMITS} commits)"
     )

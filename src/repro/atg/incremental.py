@@ -66,8 +66,8 @@ class PropagationReport:
     events, extending the subscription engine's skip/suffix pruning to
     the reverse pipeline instead of forcing full re-evaluations.  Only
     populated when the propagation ran with ``want_records=True`` (the
-    updater passes it iff commit observers are attached, so
-    observer-less services pay nothing)."""
+    updater passes it iff someone consumes commit events, so services
+    without subscriptions or a changefeed pay nothing)."""
 
     node_records: list[NodeRecord] = field(default_factory=list)
     """Interning records for the insert-edge endpoints (the replication
@@ -91,7 +91,8 @@ def propagate_base_update(
 
     ``want_records=True`` additionally captures typed
     :attr:`PropagationReport.edge_records` for event consumers; off by
-    default so observer-less updaters pay no per-edge construction cost.
+    default so updaters nobody consumes events from pay no per-edge
+    construction cost.
     """
     report = PropagationReport()
     if not delta_r:

@@ -1,12 +1,12 @@
 """The public, versioned changefeed over one view's ΔV event stream.
 
-Where :meth:`repro.core.updater.XMLViewUpdater.add_observer` is an
-engine-internal hook with no stability contract, this package is the
-supported way for external consumers — caches, materialized replicas,
-audit logs — to follow a published view:
+This package is the supported way for external consumers — caches,
+materialized replicas, audit logs — to follow a published view.  Every
+committed event reaches it through the commit pipeline
+(:mod:`repro.service.pipeline`), after subscription maintenance:
 
 - :mod:`repro.changefeed.hub` — the per-view publisher
-  (:class:`ChangefeedHub`): batch coalescing, the replay buffer, fan-out;
+  (:class:`ChangefeedHub`): the replay buffer, WAL append, fan-out;
 - :mod:`repro.changefeed.consumer` — the handle
   (:class:`ChangefeedConsumer`): callback contract or blocking/pull
   iterator, resume bookkeeping;

@@ -1,21 +1,21 @@
 """The publisher side of the changefeed: one hub per published view.
 
-The :class:`ChangefeedHub` turns the engine-internal commit observer
-stream (:meth:`repro.core.updater.XMLViewUpdater.add_observer`, no
-stability contract) into the stable public feed:
+The :class:`ChangefeedHub` turns the commit pipeline's sealed events
+(:class:`~repro.service.pipeline.CommitPipeline`) into the stable
+public feed:
 
-- it attaches to the updater **once**, on the first
-  :meth:`ChangefeedHub.open`, and stays attached for the life of the
-  service — retention must be continuous for replay to be trustworthy;
-- mid-batch ``deferred`` events are buffered and **coalesced** with the
-  session's flush event, so consumers see exactly one event per
-  committed generation that was observable at rest (the same batch
-  semantics the subscription registry uses);
+- it attaches **once**, on the first :meth:`ChangefeedHub.open` (or at
+  construction of a durable service), and stays attached for the life
+  of the service — retention must be continuous for replay to be
+  trustworthy; while attached, every commit builds and stages its event;
+- it receives one sealed event per committed generation that was
+  observable at rest — the pipeline has already coalesced a batch's
+  mid-batch ``deferred`` events with the session's flush event;
 - every published event lands in the generation-indexed
-  :class:`~repro.changefeed.buffer.ReplayBuffer` *before* fan-out, so a
+  :class:`~repro.changefeed.buffer.ReplayBuffer` in :meth:`stage`,
+  under the writer's critical section and *before* fan-out, so a
   consumer attached with ``since=`` can never miss an event between its
-  replay and its first live delivery (both happen under the writer's
-  critical section).
+  replay and its first live delivery.
 
 Generations are the updater's version counter: strictly increasing,
 not necessarily dense (failed commits bump without publishing; batches
@@ -32,7 +32,7 @@ import threading
 from repro.changefeed.buffer import ReplayBuffer
 from repro.changefeed.consumer import ChangefeedConsumer
 from repro.errors import ChangefeedError, ReplayGapError
-from repro.subscribe.delta import ViewEvent, coalesce
+from repro.subscribe.delta import ViewEvent
 
 #: Default number of published events retained for replay.
 DEFAULT_RETENTION = 256
@@ -73,7 +73,6 @@ class ChangefeedHub:
         self._members = threading.Lock()
         self._consumers: list[ChangefeedConsumer] = []
         self._buffer: ReplayBuffer | None = None
-        self._pending: list[ViewEvent] = []
         self.events_published = 0
         """Events published since the hub attached (coalesced batches
         count once)."""
@@ -146,17 +145,16 @@ class ChangefeedHub:
             self._buffer = ReplayBuffer(
                 self.retention, floor=self.updater._version
             )
-            self.updater.add_observer(self.handle)
 
     # -- the consumer-facing API -----------------------------------------------------
 
     def validate_since(self, since: int | None) -> None:
         """Raise exactly what :meth:`open` would for this resume point.
 
-        Side-effect free, so callers (the façade) can reject a bad
-        ``since`` *before* attach/pin side effects stick — a failed
-        ``changefeed()`` call must not switch on per-commit event
-        construction for the life of the service.
+        Side-effect free, so :meth:`open` rejects a bad ``since``
+        *before* the attach sticks — a failed ``changefeed()`` call must
+        not switch on per-commit event construction for the life of the
+        service.
         """
         if since is None:
             return
@@ -231,26 +229,13 @@ class ChangefeedHub:
     def __len__(self) -> int:
         return len(self._consumers)
 
-    # -- the publish path (writer's critical section) ---------------------------------
-
-    def handle(self, event: ViewEvent) -> None:
-        """Commit observer: coalesce batches, retain, fan out inline.
-
-        The legacy single-phase path (no staged pipeline, or direct
-        updater use): staging and delivery both run inside the writer's
-        critical section.
-        """
-        if event.deferred:
-            self._pending.append(event)
-            return
-        self.deliver(self.stage(event))
+    # -- the publish path ---------------------------------------------------------
 
     def stage(self, event: ViewEvent):
         """Retain ``event`` and snapshot its fan-out list (under the lock).
 
-        The staged pipeline's half of publication that *must* stay in
-        the writer's critical section: coalescing with any buffered
-        mid-batch events, the replay-buffer append (so a consumer
+        The half of publication that *must* stay in the writer's
+        critical section: the replay-buffer and WAL append (so a consumer
         attaching right after the lock is released replays this event
         instead of missing it) and the consumer-list snapshot (so that
         same late consumer is not *also* delivered to live — no gaps, no
@@ -259,10 +244,6 @@ class ChangefeedHub:
         """
         if self._buffer is None:
             return None
-        if self._pending:
-            self._pending.append(event)
-            event = coalesce(self._pending)
-            self._pending.clear()
         self._buffer.append(event)
         if self.wal is not None:
             self.wal.append(event)
@@ -283,9 +264,8 @@ class ChangefeedHub:
     def deliver(self, staged) -> None:
         """Fan a staged event out to its snapshot of consumers.
 
-        Runs *outside* the write lock on the staged pipeline (in commit
-        order — the pipeline's ticket fence serializes concurrent
-        publishers), inline under the lock on the legacy path.
+        Runs *outside* the write lock (in commit order — the pipeline's
+        ticket fence serializes concurrent publishers).
         """
         if staged is None:
             return

@@ -22,9 +22,7 @@ foreground phases 1–4 *without mutating any state* and returns an
 :class:`UpdatePlan` (targets, side effects, ΔV, ΔR, phase timings), and
 ``plan.commit()`` / ``plan.abort()`` complete or discard it.
 :meth:`XMLViewUpdater.apply_op` is literally ``plan(op).commit()``, so a
-committed plan produces byte-identical ΔV/ΔR to a direct apply.  The
-historical ``insert()``/``delete()`` methods remain as
-deprecation-warning shims over the op dispatch.
+committed plan produces byte-identical ΔV/ΔR to a direct apply.
 
 Side effects are governed by :class:`SideEffectPolicy`: ``ABORT``
 rejects the update (the user said no), ``PROPAGATE`` carries on under
@@ -37,7 +35,6 @@ import enum
 import random
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -296,7 +293,7 @@ class UpdatePlan:
         # up front so a commit failure never wedges the updater (and so
         # a base-update commit can pass apply_base_update's plan guard).
         updater._outstanding_plan = None
-        notify = bool(updater._observers)
+        notify = updater._wants_events()
         edge_records = []
         node_records = []
         try:
@@ -481,28 +478,22 @@ class XMLViewUpdater:
         self._outstanding_plan: UpdatePlan | None = None
         self._version = 0
         """Bumped on every committed mutation; guards stale plans."""
-        self._observers: list = []
-        """Commit observers: called with one ΔV :class:`ViewEvent` per
-        committed mutation (the subscription engine registers here).
-        Empty list = zero event-construction overhead."""
         self._in_plan_commit = False
         """True while a plan commit drives ``apply_base_update`` (the
         commit emits the final event itself)."""
         self._emitting_depth: dict[int, int] = {}
-        """Per-thread nesting depth of observer/consumer delivery.  The
-        service write lock is reentrant for its owner, so without this
-        guard an observer (subscription maintenance, a changefeed
-        callback) could start a *nested* commit and publish events out
-        of order mid-fan-out.  Per *thread* because the staged commit
-        pipeline delivers after the lock is released — a callback
-        writing back would otherwise simply acquire the free lock."""
+        """Per-thread nesting depth of event delivery.  The service
+        write lock is reentrant for its owner, so without this guard
+        subscription maintenance or a changefeed callback could start a
+        *nested* commit and publish events out of order mid-fan-out.
+        Per *thread* because the commit pipeline delivers after the
+        lock is released — a callback writing back would otherwise
+        simply acquire the free lock."""
         self._sink = None
         """The installed :class:`~repro.service.pipeline.CommitPipeline`
-        (or None).  While a pipeline scope is open on the emitting
-        thread, events are collected into its ``CommitRecord`` and the
-        registry/hub observers are skipped (maintenance and fan-out run
-        as explicit pipeline phases instead); raw observers always run
-        inline."""
+        (or None): every emitted event goes to its ``collect``.  Events
+        are only built while ``sink.wants_events`` is true; an updater
+        without a sink builds none."""
 
     # -- public API -----------------------------------------------------------
 
@@ -523,32 +514,20 @@ class XMLViewUpdater:
         """
         return self._evaluator()
 
-    # -- commit observers -------------------------------------------------------
+    # -- commit events ----------------------------------------------------------
 
-    def add_observer(self, observer) -> None:
-        """Register ``observer(event: ViewEvent)`` to run after every
-        committed mutation, inside the writer's critical section.
-
-        Engine-internal hook (no stability contract): observers receive
-        raw events, including ``deferred`` mid-batch ones, in attach
-        order.  External consumers should use the public changefeed —
-        :meth:`repro.service.ViewService.changefeed` — which coalesces
-        batches, supports replay, and freezes the event schema
-        (``docs/event-schema.md``).
-        """
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Unregister a previously added observer (ValueError if absent)."""
-        self._observers.remove(observer)
+    def _wants_events(self) -> bool:
+        """Whether a committed mutation should build its ΔV event."""
+        sink = self._sink
+        return sink is not None and sink.wants_events
 
     @contextmanager
     def _observer_section(self):
         """Mark the calling thread as delivering commit events.
 
-        Raised around inline observer dispatch *and* around the staged
-        pipeline's off-lock publish phase, so
-        :meth:`_check_not_emitting` rejects write-backs from either.
+        The commit pipeline raises it around subscription maintenance
+        and changefeed delivery, so :meth:`_check_not_emitting` rejects
+        write-backs from either.
         """
         ident = threading.get_ident()
         depth = self._emitting_depth
@@ -563,16 +542,7 @@ class XMLViewUpdater:
                 depth[ident] = remaining
 
     def _emit(self, event: ViewEvent) -> None:
-        sink = self._sink
-        collected = sink is not None and sink.collect(event)
-        with self._observer_section():
-            for observer in list(self._observers):
-                if collected and sink.owns(observer):
-                    # A pipeline scope buffered the event; registry
-                    # maintenance and hub fan-out run as the maintain /
-                    # publish phases on the sealed record instead.
-                    continue
-                observer(event)
+        self._sink.collect(event)
 
     def _check_not_emitting(self) -> None:
         if threading.get_ident() in self._emitting_depth:
@@ -636,32 +606,6 @@ class XMLViewUpdater:
         plan.state = PlanState.PLANNED
         self._outstanding_plan = plan
         return plan
-
-    # -- legacy shims ---------------------------------------------------------
-
-    def insert(
-        self, path: str | XPath, element: str, sem: tuple
-    ) -> UpdateOutcome:
-        """Deprecated: use ``apply_op(InsertOp(path, element, sem))``."""
-        warnings.warn(
-            "XMLViewUpdater.insert() is deprecated; construct an "
-            "InsertOp and use apply_op() (or repro.open_view().apply())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.apply_op(
-            InsertOp(path=_path_str(path), element=element, sem=tuple(sem))
-        )
-
-    def delete(self, path: str | XPath) -> UpdateOutcome:
-        """Deprecated: use ``apply_op(DeleteOp(path))``."""
-        warnings.warn(
-            "XMLViewUpdater.delete() is deprecated; construct a "
-            "DeleteOp and use apply_op() (or repro.open_view().apply())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.apply_op(DeleteOp(path=_path_str(path)))
 
     def batch(self) -> "UpdateSession":
         """Open a batched update session (the paper's "background" mode).
@@ -999,11 +943,11 @@ class XMLViewUpdater:
             delta_r,
             # Typed per-edge records cost lookups per change; only pay
             # when someone consumes the resulting event.
-            want_records=bool(self._observers),
+            want_records=self._wants_events(),
         )
         self._version += 1
         self._post_verify()
-        if self._observers and not self._in_plan_commit:
+        if self._wants_events() and not self._in_plan_commit:
             # The report types every edge change (losses, gains, GC), so
             # the event is fine-grained: subscriptions skip or
             # suffix-restart on base updates exactly as on foreground
@@ -1053,7 +997,7 @@ class XMLViewUpdater:
             self.store, self.index_backend
         )
         self._version += 1
-        if self._observers:
+        if self._wants_events():
             self._emit(ViewEvent(
                 generation=self._version, coarse=True, reason="rebuild"
             ))
@@ -1117,13 +1061,6 @@ class XMLViewUpdater:
         if not self.topo.is_valid_for(self.reach.is_ancestor):
             problems.append("topological order invalid")
         return problems
-
-
-def _path_str(path: str | XPath) -> str:
-    """Normalize a path argument to its string form (ops are wire values)."""
-    if isinstance(path, str):
-        return path
-    return str(path) or "."
 
 
 @dataclass
@@ -1248,7 +1185,7 @@ class UpdateSession:
             updater.reach.diff(snapshot) if snapshot is not None else None
         )
         updater._post_verify()
-        if updater._observers:
+        if updater._wants_events():
             # The flush event releases the per-op events buffered during
             # the session (even when the only new information is GC).
             records = (

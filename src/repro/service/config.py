@@ -52,28 +52,12 @@ class ViewConfig:
         (``service.changefeed(since=...)`` can resume from any retained
         generation; older resume points raise
         :class:`~repro.errors.ReplayGapError`).
-    coarse_event_threshold:
-        Cost-based fallback for subscription maintenance: events whose
-        edge list exceeds this are handled as coarse (full
-        re-evaluation) instead of scanned pattern-by-pattern.  ``None``
-        uses the measured default
-        (:data:`repro.subscribe.engine.DEFAULT_COARSE_THRESHOLD`).
     capture_closure_deltas:
         Whether Δ(M,L) repairs capture the exact closure pair-delta of
         ``M`` (snapshot + bulk diff; feeds leading-``//`` subscription
         patches — see ``docs/index-backends.md``).  ``'auto'``
         (default) captures only while such a subscription is live;
         ``True``/``False`` force it on or off.
-    commit_pipeline:
-        Whether writes run through the staged commit pipeline
-        (:class:`~repro.service.pipeline.CommitPipeline`: plan → mutate
-        → maintain → publish, with changefeed delivery outside the
-        write lock and batched subscription decisions).  ``False``
-        restores the legacy single-phase critical section — kept as the
-        measured pre-refactor baseline of the ``pipeline`` benchmark
-        experiment.  Event contents, subscription results and replica
-        convergence are identical either way; see the concurrency-model
-        section of ``docs/architecture.md``.
     wal_dir:
         Directory of the durable changefeed log (:mod:`repro.wal`), or
         ``None`` (default) for a purely in-memory service.  When set,
@@ -104,9 +88,7 @@ class ViewConfig:
     verify_each_update: bool = False
     seed: int = DEFAULT_SEED
     changefeed_retention: int = DEFAULT_RETENTION
-    coarse_event_threshold: int | None = None
     capture_closure_deltas: bool | str = "auto"
-    commit_pipeline: bool = True
     wal_dir: str | None = None
     wal_fsync: str = "batch"
     wal_segment_bytes: int = 1 << 20
@@ -130,23 +112,10 @@ class ViewConfig:
                 f"changefeed_retention must be >= 1, "
                 f"got {self.changefeed_retention!r}"
             )
-        if (
-            self.coarse_event_threshold is not None
-            and self.coarse_event_threshold < 0
-        ):
-            raise ReproError(
-                f"coarse_event_threshold must be >= 0 or None, "
-                f"got {self.coarse_event_threshold!r}"
-            )
         if self.capture_closure_deltas not in (True, False, "auto"):
             raise ReproError(
                 f"capture_closure_deltas must be True, False or 'auto', "
                 f"got {self.capture_closure_deltas!r}"
-            )
-        if not isinstance(self.commit_pipeline, bool):
-            raise ReproError(
-                f"commit_pipeline must be a bool, "
-                f"got {self.commit_pipeline!r}"
             )
         if self.wal_dir is not None and not isinstance(self.wal_dir, str):
             raise ReproError(

@@ -117,49 +117,37 @@ class ViewService:
             # Resume the version counter where the log left off so new
             # commits extend the logged generation sequence.
             self.updater._version = recovered_generation
-        # The registry attaches itself as a commit observer on first
-        # subscribe(), so services that never subscribe pay nothing on
-        # the write path.
         self.subscriptions = SubscriptionRegistry(
-            self.updater,
-            self._lock,
-            coarse_threshold=self.config.coarse_event_threshold,
-            metrics=self.metrics_registry,
+            self.updater, self._lock, metrics=self.metrics_registry,
         )
-        # Likewise the changefeed hub attaches on the first changefeed()
-        # call; from then on it stays attached so replay retention is
-        # continuous.
-        # (The hub does not lock internally: changefeed() holds the
-        # service write lock across attach, and publication runs inside
-        # the writer's critical section.)
+        # The changefeed hub attaches on the first changefeed() call;
+        # from then on it stays attached so replay retention is
+        # continuous.  (The hub does not lock internally: changefeed()
+        # holds the service write lock across attach, and staging runs
+        # inside the writer's critical section.)
         self.changefeeds = ChangefeedHub(
             self.updater,
             retention=self.config.changefeed_retention,
             wal=self.wal,
             metrics=self.metrics_registry,
         )
-        # The staged commit pipeline (plan → mutate → maintain →
-        # publish): writes open a pipeline scope instead of a bare write
-        # lock, registry maintenance runs as one batched pass, and
-        # changefeed delivery happens after the lock is released (see
-        # docs/architecture.md).  ``commit_pipeline=False`` keeps the
-        # legacy single-phase critical section.
-        self.pipeline: CommitPipeline | None = None
-        if self.config.commit_pipeline:
-            self.pipeline = CommitPipeline(
-                self._lock, self.updater, self.subscriptions,
-                self.changefeeds, metrics=self.metrics_registry,
-            )
-            self.updater._sink = self.pipeline
+        # The commit pipeline (plan → mutate → maintain → publish):
+        # writes open a pipeline scope, registry maintenance runs as one
+        # batched pass before the hub stages the event, and changefeed
+        # delivery happens after the lock is released (see
+        # docs/architecture.md).  Commits build events only while a
+        # subscription is live or the hub is attached.
+        self.pipeline = CommitPipeline(
+            self._lock, self.updater, self.subscriptions,
+            self.changefeeds, metrics=self.metrics_registry,
+        )
+        self.updater._sink = self.pipeline
         if self.wal is not None:
             # A durable service attaches the hub at construction (not
             # lazily on the first changefeed() call) so every commit
-            # from here on is logged.  The registry pins itself first,
-            # preserving the registry-before-hub observer ordering the
-            # lazy path establishes.  The initial checkpoint makes the
+            # from here on is logged.  The initial checkpoint makes the
             # replay floor point at a live checkpoint from generation 0.
             self.changefeeds.checkpoint_fn = self._wal_checkpoint
-            self.subscriptions.ensure_registered(pin=True)
             self.changefeeds._ensure_attached()
             if not self.wal.has_checkpoint:
                 self._wal_checkpoint()
@@ -215,21 +203,6 @@ class ViewService:
         self.close()
         return False
 
-    @contextmanager
-    def _write_scope(self):
-        """One write section: a pipeline scope, or the bare write lock.
-
-        Yields the open :class:`~repro.service.pipeline.CommitRecord`
-        (or ``None`` on the legacy path) so callers can mark the
-        ``plan`` phase for timing.
-        """
-        if self.pipeline is None:
-            with self._lock.write():
-                yield None
-        else:
-            with self.pipeline.scope() as record:
-                yield record
-
     # -- write path ---------------------------------------------------------------
 
     def apply(
@@ -252,9 +225,7 @@ class ViewService:
         """
         if isinstance(op, (UpdateOperation, dict)):
             decoded = self._decode(op)
-            with self._write_scope() as record:
-                if record is None:
-                    return self._count_op(self.updater.apply_op(decoded))
+            with self.pipeline.scope() as record:
                 # The same dispatch as updater.apply_op, with the two
                 # foreground phases marked on the commit record.
                 with record.phase("plan"):
@@ -272,7 +243,7 @@ class ViewService:
                 "apply them individually"
             )
         outcomes: list[UpdateOutcome] = []
-        with self._write_scope():
+        with self.pipeline.scope():
             try:
                 with self.updater.batch():
                     for decoded in ops:
@@ -299,29 +270,25 @@ class ViewService:
         """Run the foreground phases; commit/abort later.
 
         The returned plan's ``commit()``/``abort()`` open a full write
-        section (a pipeline scope when the staged pipeline is on), so a
-        held plan can be completed from any thread and its commit
-        publishes through the same maintain/publish phases as
-        :meth:`apply`.
+        section (a pipeline scope), so a held plan can be completed from
+        any thread and its commit publishes through the same
+        maintain/publish phases as :meth:`apply`.
         """
         decoded = self._decode(op)
         with self._lock.write():
             plan = self.updater.plan(decoded)
-        plan._write_lock = (
-            self.pipeline.scope if self.pipeline is not None
-            else self._lock.write
-        )
+        plan._write_lock = self.pipeline.scope
         return plan
 
     def undo(self, outcome: UpdateOutcome):
         """Invert an accepted update's ΔR and re-synchronize the view."""
-        with self._write_scope():
+        with self.pipeline.scope():
             return self.updater.undo(outcome)
 
     @contextmanager
     def batch(self):
         """Exclusive batched session: N applies, one Δ(M,L) repair."""
-        with self._write_scope():
+        with self.pipeline.scope():
             with self.updater.batch() as session:
                 yield _BatchHandle(self.updater, session)
 
@@ -352,8 +319,7 @@ class ViewService:
     ) -> ChangefeedConsumer:
         """Attach a consumer to this view's published event stream.
 
-        The stable, versioned successor of ``updater.add_observer``: one
-        JSON-serializable :class:`~repro.subscribe.delta.ViewEvent` per
+        One JSON-serializable :class:`~repro.subscribe.delta.ViewEvent` per
         committed generation observable at rest (batches arrive as one
         coalesced event), specified in ``docs/event-schema.md``.
 
@@ -370,11 +336,11 @@ class ViewService:
         ``on_event=fn`` selects callback mode: ``fn(event)`` runs
         synchronously on the committing thread during the pipeline's
         *publish* phase — after subscription maintenance for the event's
-        generation completed, and (with the staged pipeline) after the
-        write lock was released, so the callback never extends the
-        critical section (so ``sub.result()``/``sub.delta()`` read
-        consistently with the event).  Writing back into the service
-        from the callback raises :class:`~repro.errors.PlanError`; a
+        generation completed (so ``sub.result()``/``sub.delta()`` read
+        consistently with the event), and after the write lock was
+        released, so the callback never extends the critical section.
+        Writing back into the service from the callback raises
+        :class:`~repro.errors.PlanError`; a
         callback that raises is detached (``consumer.error``) rather
         than failing the commit.
         Without ``on_event`` the returned consumer is a pull handle:
@@ -390,12 +356,6 @@ class ViewService:
         ``drops`` stat).
         """
         with self._lock.write():
-            # Reject a bad resume point before any side effect sticks,
-            # then pin the registry ahead of the hub in the observer
-            # list so changefeed callbacks always see post-maintenance
-            # subscription state.
-            self.changefeeds.validate_since(since)
-            self.subscriptions.ensure_registered(pin=True)
             return self.changefeeds.open(
                 since=since, on_event=on_event,
                 backpressure=backpressure, block_timeout=block_timeout,
@@ -461,11 +421,7 @@ class ViewService:
                 "index_backend": self.updater.index_backend,
                 "subscriptions": self.subscriptions.stats(),
                 "changefeed": self.changefeeds.stats(),
-                "pipeline": (
-                    self.pipeline.stats()
-                    if self.pipeline is not None
-                    else None
-                ),
+                "pipeline": self.pipeline.stats(),
                 "wal": self.wal.stats() if self.wal is not None else None,
                 "config": self.config.to_dict(),
             }

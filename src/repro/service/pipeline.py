@@ -1,17 +1,14 @@
-"""The staged commit pipeline: plan → mutate → maintain → publish.
+"""The commit pipeline: plan → mutate → maintain → publish.
 
-Historically every commit ran mutation, subscription maintenance and
-changefeed fan-out serially inside the writer's critical section.  The
-:class:`CommitPipeline` splits that monolith into four explicit phases
-with per-phase wall-clock accounting:
+Every committed ΔV event reaches subscriptions and changefeed consumers
+through the :class:`CommitPipeline`, in four explicit phases with
+per-phase wall-clock accounting:
 
 - **plan** — the foreground phases (validate → ΔR), still under the
   write lock so the plan cannot go stale before its commit;
 - **mutate** — ΔR/ΔV application plus the Δ(M,L) repair; the emitted
   :class:`~repro.subscribe.delta.ViewEvent` stream is *collected* into a
-  :class:`CommitRecord` instead of dispatched to the registry/hub inline
-  (raw ``updater.add_observer`` observers still run inline — they are an
-  engine-internal hook with mid-batch ``deferred`` semantics);
+  :class:`CommitRecord`;
 - **maintain** — the record is sealed (one coalesced, generation-stamped
   event per at-rest generation) and the subscription registry runs its
   *batched* decision pass (:meth:`SubscriptionRegistry.apply_batched`)
@@ -24,10 +21,12 @@ with per-phase wall-clock accounting:
   (``backpressure='block_writer'``) delays the *publisher*, not the
   whole critical section.
 
-The pipeline is installed by the service façade when
-``ViewConfig(commit_pipeline=True)`` (the default); ``False`` restores
-the legacy single-phase critical section (the pre-refactor baseline the
-``pipeline`` benchmark experiment measures against).
+The service façade installs one pipeline per view as the updater's
+event sink.  A direct updater call outside any write scope
+(``rebuild()``, ``rebuild_structures_only()``, a bare
+``apply_base_update``) publishes through the same seal → maintain →
+stage → deliver tail, at once, on the calling thread.  Events are only
+built while someone consumes them (:attr:`CommitPipeline.wants_events`).
 """
 
 from __future__ import annotations
@@ -48,10 +47,9 @@ class CommitRecord:
     While a pipeline scope is open on the writer thread, every event the
     updater emits is collected here.  :meth:`seal` folds them into a
     single generation-stamped event (mid-batch ``deferred`` events
-    coalesce with their session's flush event, exactly as the registry
-    and hub used to do internally), after which the record is immutable
-    in spirit: ``event`` is what maintenance consumed and fan-out
-    delivered.
+    coalesce with their session's flush event), after which the record
+    is immutable in spirit: ``event`` is what maintenance consumed and
+    fan-out delivered.
     """
 
     __slots__ = ("generation", "events", "event", "timings", "_sealed")
@@ -98,11 +96,10 @@ class CommitRecord:
     def seal(self) -> ViewEvent | None:
         """Fold the collected events into one at-rest event.
 
-        A single non-deferred event passes through untouched (byte
-        identical to the legacy inline dispatch); a batch's deferred
-        events coalesce with the flush event.  Returns the sealed event,
-        or ``None`` when the scope emitted nothing (aborted plans,
-        observer-less services).
+        A single non-deferred event passes through untouched; a batch's
+        deferred events coalesce with the flush event.  Returns the
+        sealed event, or ``None`` when the scope emitted nothing
+        (aborted plans, services nobody consumes events from).
         """
         if self._sealed:
             return self.event
@@ -128,10 +125,10 @@ class CommitPipeline:
     """Owns phase ordering, generation fencing and per-phase timings.
 
     One instance per :class:`~repro.service.facade.ViewService`.  The
-    façade routes every write through :meth:`scope`; the updater routes
-    emitted events into the open scope's :class:`CommitRecord` via the
-    sink protocol (:meth:`collect`/:meth:`owns`) instead of dispatching
-    to the registry/hub observers inline.
+    façade routes every write through :meth:`scope`; the updater hands
+    every emitted event to :meth:`collect`, which buffers it into the
+    open scope's :class:`CommitRecord` (or publishes it at once when no
+    scope is open).
     """
 
     def __init__(self, lock, updater, registry, hub, metrics=None):
@@ -170,9 +167,10 @@ class CommitPipeline:
         self._turn = 0
         self._stats_mutex = threading.Lock()
         self.commits = 0
-        """Completed top-level scopes (aborted plans included)."""
+        """Completed top-level scopes (aborted plans included) plus
+        direct updater publications."""
         self.records_sealed = 0
-        """Scopes that sealed a non-empty event (i.e. published)."""
+        """Commits that sealed a non-empty event (i.e. published)."""
         self.lock_wait_seconds = 0.0
         """Cumulative time writers waited to acquire the write lock."""
         self.lock_hold_seconds = 0.0
@@ -185,30 +183,36 @@ class CommitPipeline:
 
     # -- the sink protocol (called by the updater) ---------------------------------
 
-    def collect(self, event: ViewEvent) -> bool:
-        """Buffer ``event`` into the open scope's record, if any.
-
-        Returns True when a scope is active on the calling thread (the
-        updater then skips the registry/hub observers — maintenance and
-        fan-out run from the sealed record instead); False routes the
-        event through the legacy inline dispatch (direct updater use:
-        ``rebuild()``, bare ``apply_base_update``, engine tests).
-        """
-        record = getattr(self._local, "record", None)
-        if record is None:
-            return False
-        record.events.append(event)
-        return True
-
-    def owns(self, observer) -> bool:
-        """Whether ``observer`` is the registry's or hub's commit hook
-        (those are replaced by the maintain/publish phases in scope)."""
-        return observer == self.registry.handle or observer == self.hub.handle
-
     @property
-    def active(self) -> bool:
-        """Whether a pipeline scope is open on the calling thread."""
-        return getattr(self._local, "record", None) is not None
+    def wants_events(self) -> bool:
+        """Whether committed mutations should build ΔV events: true iff
+        a subscription is live or the changefeed hub is attached (a WAL
+        attaches it at construction).  Otherwise commits skip event
+        construction entirely."""
+        return len(self.registry) > 0 or self.hub.attached
+
+    def collect(self, event: ViewEvent) -> None:
+        """Take one emitted event from the updater.
+
+        Inside an open scope on the calling thread the event is buffered
+        into the scope's record; maintenance and fan-out run from the
+        sealed record when the scope closes.  Outside any scope (a direct
+        updater call: ``rebuild()``, ``rebuild_structures_only()``, a
+        bare ``apply_base_update``) the event is published at once, on
+        the calling thread, through the same tail as :meth:`scope` —
+        except a direct ``updater.batch()``'s mid-batch ``deferred``
+        events, which wait in the record for the session's flush event
+        so the batch still publishes as one coalesced event.
+        """
+        local = self._local
+        record = getattr(local, "record", None)
+        if record is None:
+            record = local.record = CommitRecord()
+        record.events.append(event)
+        if getattr(local, "depth", 0) or event.deferred:
+            return
+        local.record = None
+        self._finish(record, release=None)
 
     # -- the write scope -----------------------------------------------------------
 
@@ -236,32 +240,52 @@ class CommitPipeline:
                 local.depth -= 1
             return
         record = CommitRecord()
+        wait_start = time.perf_counter()
+        self._lock.acquire_write()
+        acquired = time.perf_counter()
+        record.timings["lock_wait"] = acquired - wait_start
+
+        def release() -> None:
+            record.timings["lock_hold"] = time.perf_counter() - acquired
+            self._lock.release_write()
+
+        local.depth, local.record = 1, record
+        try:
+            yield record
+        finally:
+            local.depth, local.record = 0, None
+            self._finish(record, release)
+
+    def _finish(self, record: CommitRecord, release) -> None:
+        """The commit tail: seal → maintain → stage, ``release``, deliver.
+
+        Sealing, the registry's batched maintenance and the hub's
+        staging run first (under the write lock when called from
+        :meth:`scope`); then ``release`` (the lock release, or ``None``
+        for a direct updater call) runs, and consumers are delivered in
+        ticket (= commit) order.  The whole tail runs under the
+        updater's observer guard, so neither maintenance nor a consumer
+        callback can start a nested commit.
+        """
         staged = None
         ticket: int | None = None
-        wait_start = time.perf_counter()
         try:
-            with self._lock.write():
-                acquired = time.perf_counter()
-                record.timings["lock_wait"] = acquired - wait_start
-                local.depth, local.record = 1, record
-                try:
-                    yield record
-                finally:
-                    local.depth, local.record = 0, None
-                    event = record.seal()
-                    if event is not None:
+            try:
+                event = record.seal()
+                if event is not None:
+                    with self.updater._observer_section():
                         with record.phase("maintain"):
                             self.registry.apply_batched(event)
                         staged = self.hub.stage(event)
-                        if staged is not None and staged.consumers:
-                            ticket = self._take_ticket()
-                    record.timings["lock_hold"] = (
-                        time.perf_counter() - acquired
-                    )
-        finally:
+                    if staged is not None and staged.consumers:
+                        ticket = self._take_ticket()
+            finally:
+                if release is not None:
+                    release()
             if ticket is not None:
                 with record.phase("publish"):
                     self._publish(ticket, staged)
+        finally:
             self._account(record)
 
     # -- the publish phase (off the lock) --------------------------------------------

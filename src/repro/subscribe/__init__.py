@@ -5,7 +5,7 @@
 - :mod:`repro.subscribe.deps` — per-step dependency extraction from the
   XPath AST, powering skip / suffix-restart decisions;
 - :mod:`repro.subscribe.engine` — :class:`Subscription` and the
-  :class:`SubscriptionRegistry` commit observer.
+  :class:`SubscriptionRegistry`, maintained by the commit pipeline.
 
 Public entry point: :meth:`repro.service.ViewService.subscribe`.
 """

@@ -1,11 +1,13 @@
 """Incrementally maintained XPath subscriptions over one published view.
 
 ``service.subscribe(path)`` evaluates ``path`` once, eagerly, and from
-then on the :class:`SubscriptionRegistry` — registered as a commit
-observer on the updater — keeps the result current by consuming the
-structured ΔV events every committed operation emits
-(:mod:`repro.subscribe.delta`).  Per event and per subscription the
-registry picks the cheapest sound action:
+then on the :class:`SubscriptionRegistry` keeps the result current by
+consuming the structured ΔV events every committed operation emits
+(:mod:`repro.subscribe.delta`).  The commit pipeline
+(:class:`~repro.service.pipeline.CommitPipeline`) hands it one sealed
+event per commit — batches already coalesced — in its *maintain* phase
+(:meth:`SubscriptionRegistry.apply_batched`).  Per event and per
+subscription the registry picks the cheapest sound action:
 
 - **skip** — no event edge intersects any step's dependency map
   (:mod:`repro.subscribe.deps`): the cached result is provably current,
@@ -28,9 +30,10 @@ node ids at near-zero cost.
 Every subscription is generation-tagged with the updater's version
 counter.  :meth:`Subscription.result` compares tags before answering
 and falls back to a full re-evaluation on any mismatch — a missed or
-deferred event (e.g. reading mid-batch) degrades to correct-but-slower,
-never to stale data.  Maintenance runs inside the writer's critical
-section (the service write lock); ``result()`` takes the read side.
+not-yet-published event (e.g. reading mid-batch) degrades to
+correct-but-slower, never to stale data.  Maintenance runs inside the
+writer's critical section (the service write lock); ``result()`` takes
+the read side.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import threading
 import time
 from contextlib import nullcontext
 
-from repro.subscribe.delta import ViewEvent, coalesce
+from repro.subscribe.delta import ViewEvent
 from repro.subscribe.deps import (
     QueryProfile,
     first_affected_step,
@@ -58,15 +61,16 @@ _STAT_KEYS = (
     "closure_patches",
 )
 
-#: Above this many edges in one event, scanning every subscription's
-#: per-step patterns against every edge costs more than simply
-#: re-evaluating, so the registry degrades the event to coarse.  The
-#: default is calibrated by ``benchmarks/test_coarse_fallback.py``
-#: (measured crossover ≈ 512 worst-case edges at 16 standing queries,
-#: recorded in ``BENCH_index.json``; the default sits below it because
-#: real events match patterns and re-evaluate some queries either way).
-#: Override per service via ``ViewConfig(coarse_event_threshold=...)``.
-DEFAULT_COARSE_THRESHOLD = 256
+#: Above this many edges in one event, the batched decision pass
+#: (probing every edge against the pattern index and scanning it for
+#: every candidate) costs more than simply re-evaluating, so the
+#: registry degrades the event to coarse.  The default is calibrated by
+#: ``benchmarks/test_coarse_fallback.py`` (measured crossover ≈ 4096
+#: non-matching edges at 16 standing queries, recorded in
+#: ``BENCH_index.json``; the default sits below it because real events
+#: match patterns and re-evaluate some queries either way).  Each
+#: registry starts from it (``SubscriptionRegistry.coarse_threshold``).
+DEFAULT_COARSE_THRESHOLD = 2048
 
 
 class Subscription:
@@ -264,8 +268,7 @@ class _PatternIndex:
 class SubscriptionRegistry:
     """All subscriptions of one view; consumes the commit event stream."""
 
-    def __init__(self, updater, lock=None, coarse_threshold: int | None = None,
-                 metrics=None):
+    def __init__(self, updater, lock=None, metrics=None):
         from repro.metrics import NULL_METRICS
 
         metrics = metrics if metrics is not None else NULL_METRICS
@@ -280,21 +283,13 @@ class SubscriptionRegistry:
         self._subs: list[Subscription] = []
         self._patterns = _PatternIndex()
         self._members = threading.Lock()
-        self._buffer: list[ViewEvent] = []
         self._ids = itertools.count(1)
-        self._registered = False
-        self._pinned = False
         self._closed_totals: dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
-        self.coarse_threshold = (
-            DEFAULT_COARSE_THRESHOLD
-            if coarse_threshold is None
-            else coarse_threshold
-        )
+        self.coarse_threshold = DEFAULT_COARSE_THRESHOLD
         """Cost-based fallback: events carrying more edges than this are
         handled as coarse (one full re-evaluation per subscription)
         instead of being scanned edge-by-edge against every pattern."""
         self.events_processed = 0
-        self.events_buffered = 0
         self.publish_seconds = 0.0
         self._ledger_events = 0
         """Events accounted through :meth:`apply_batched`.  A
@@ -313,26 +308,6 @@ class SubscriptionRegistry:
         maintenance action refreshes its contexts."""
 
     # -- registration ------------------------------------------------------------
-
-    def ensure_registered(self, pin: bool = False) -> None:
-        """Hook the registry onto the updater's commit observer list.
-
-        Normally lazy (the first :meth:`subscribe` does it); the service
-        façade calls this with ``pin=True`` before attaching the
-        changefeed hub, so that registry maintenance always runs *before*
-        changefeed delivery — a changefeed callback then observes
-        subscriptions already consistent with the event it receives.  A
-        pinned registry never unhooks, keeping that ordering stable.
-        """
-        with self._members:
-            self._ensure_registered_locked(pin)
-
-    def _ensure_registered_locked(self, pin: bool) -> None:
-        """The hookup itself; callers hold ``self._members``."""
-        self._pinned = self._pinned or pin
-        if not self._registered:
-            self.updater.add_observer(self.handle)
-            self._registered = True
 
     def subscribe(self, path: str | XPath) -> Subscription:
         """Register ``path`` and evaluate it eagerly.
@@ -365,12 +340,8 @@ class SubscriptionRegistry:
             sub._ledger_mark = self._ledger_events
             self._reindex_watch(sub)
         with self._members:
-            # Lazy observer hookup: commits only pay the event
-            # construction cost once someone actually subscribes (or a
-            # changefeed pins).  One critical section for hookup +
-            # append, so a concurrent close() of the last other
-            # subscription cannot unhook between the two.
-            self._ensure_registered_locked(pin=False)
+            # From here on commits build events for this subscription
+            # (the pipeline's ``wants_events`` reads ``len(self)``).
             self._subs.append(sub)
             self._patterns.add(sub)
         return sub
@@ -397,13 +368,6 @@ class SubscriptionRegistry:
                 # closed subscription's tallies into the totals.
                 for key in _STAT_KEYS:
                     self._closed_totals[key] += sub._stats[key]
-            if not self._subs and self._registered and not self._pinned:
-                # Last subscription gone: unhook so commits stop paying
-                # the event-construction cost.  (A registry pinned by a
-                # changefeed stays hooked to keep observer order stable.)
-                self.updater.remove_observer(self.handle)
-                self._registered = False
-                self._buffer.clear()
 
     def __len__(self) -> int:
         return len(self._subs)
@@ -413,54 +377,14 @@ class SubscriptionRegistry:
 
     # -- the maintenance path (writer's critical section) --------------------------
 
-    def handle(self, event: ViewEvent) -> None:
-        """Commit observer: maintain every subscription against ``event``.
-
-        Deferred (mid-batch) events are buffered and coalesced with the
-        session's flush event — the store's edges are already current
-        mid-batch, but ``M`` is not, so refreshing once per batch is
-        both cheaper and reads the repaired index.
-        """
-        if event.deferred:
-            if self._subs:
-                self._buffer.append(event)
-                self.events_buffered += 1
-            return
-        if self._buffer:
-            self._buffer.append(event)
-            event = coalesce(self._buffer)
-            self._buffer.clear()
-        if not self._subs:
-            return
-        if not event.coarse and len(event.edges) > self.coarse_threshold:
-            # Cost-based fallback: scanning a huge edge list (bulk
-            # batches, wide base propagations) against every pattern of
-            # every subscription costs more than one re-evaluation each.
-            event = ViewEvent(
-                generation=event.generation,
-                coarse=True,
-                reason=f"cost_fallback({event.reason})",
-            )
-            for sub in list(self._subs):
-                sub._stats["coarse_fallbacks"] += 1
-        start = time.perf_counter()
-        for sub in list(self._subs):
-            with sub._mutex:
-                self._sync_locked(sub)
-                if self._apply_event(sub, event):
-                    self._reindex_watch(sub)
-        self.publish_seconds += time.perf_counter() - start
-        self.events_processed += 1
-        self._m_events.inc()
-
     def apply_batched(self, event: ViewEvent) -> None:
-        """The staged pipeline's maintain phase: one batched decision pass.
+        """The commit pipeline's maintain phase: one batched decision pass.
 
-        Semantically identical to :meth:`handle` on an at-rest event —
-        every subscription ends at the same generation with the same
-        result, delta and stats — but the per-subscription decision is
-        batched: the :class:`_PatternIndex` maps the event's edges to
-        the candidate subscriptions in one probe per typed edge, and
+        Every subscription ends at the event's generation with the
+        result, delta and stats a per-subscription scan would give, but
+        the per-subscription decision is batched: the
+        :class:`_PatternIndex` maps the event's edges to the candidate
+        subscriptions in one probe per typed edge, and
         the non-candidates — however many — are accounted with **one**
         ledger bump (a *lazy skip*): their ``skips`` counter, empty
         delta and generation tag materialize on the next read via
@@ -472,9 +396,8 @@ class SubscriptionRegistry:
         the total subscription count.
 
         The caller (:class:`~repro.service.pipeline.CommitPipeline`)
-        holds the write lock and passes the *sealed* event — batches
-        arrive already coalesced, so the deferred-event buffer is not
-        consulted.
+        holds the write lock (or runs a direct updater call) and passes
+        the *sealed* event — batches arrive already coalesced.
         """
         with self._members:
             subs = list(self._subs)
@@ -482,6 +405,9 @@ class SubscriptionRegistry:
             return
         start = time.perf_counter()
         if not event.coarse and len(event.edges) > self.coarse_threshold:
+            # Cost-based fallback: scanning a huge edge list (bulk
+            # batches, wide base propagations) costs more than one
+            # re-evaluation per subscription.
             event = ViewEvent(
                 generation=event.generation,
                 coarse=True,
@@ -739,7 +665,7 @@ class SubscriptionRegistry:
 
     def _refresh_if_stale(self, sub: Subscription) -> None:
         """Generation-tagged fallback: a missed/deferred event (mid-batch
-        reads, observer-less direct use) costs a full re-evaluation,
+        reads, an updater without a service) costs a full re-evaluation,
         never staleness.  The delta then spans everything since the last
         generation this subscription reflected."""
         if sub._generation != self.updater._version:
@@ -780,7 +706,6 @@ class SubscriptionRegistry:
         return {
             "subscriptions": len(self._subs),
             "events_processed": self.events_processed,
-            "events_buffered": self.events_buffered,
             "publish_seconds": self.publish_seconds,
             "coarse_threshold": self.coarse_threshold,
             **totals,

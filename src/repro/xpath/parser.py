@@ -13,7 +13,9 @@ values.  Quoted literals follow standard XPath string semantics: a
 single-quoted literal may contain ``"`` and vice versa, and the
 delimiting quote itself may appear doubled — 'it''s' denotes the string
 ``it's``.  ``and``/``or``/``not(...)`` build Boolean filters;
-``label()=A`` tests the context node's type.
+``label()=A`` tests the context node's type.  Filters may nest at most
+:data:`MAX_FILTER_DEPTH` deep; deeper input is a syntax error rather
+than a parser (or evaluator) stack overflow.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+#: Deepest accepted nesting of filters (``[...]``, ``not(...)`` and
+#: parenthesized groups).  Parsing, evaluation and dependency analysis
+#: all recurse once per level, so the bound keeps every stage well
+#: inside the interpreter's recursion limit.
+MAX_FILTER_DEPTH = 64
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -75,6 +83,7 @@ class _Tokens:
                 self.items.append((kind, match.group()))
             pos = match.end()
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str] | None:
         if self.index < len(self.items):
@@ -160,7 +169,16 @@ def _parse_step(tokens: _Tokens, steps: list[Step]) -> None:
 
 
 def _parse_filter(tokens: _Tokens) -> Filter:
-    return _parse_or(tokens)
+    if tokens.depth >= MAX_FILTER_DEPTH:
+        raise XPathSyntaxError(
+            f"filters nested deeper than {MAX_FILTER_DEPTH} levels "
+            f"(path starts {tokens.text[:60]!r})"
+        )
+    tokens.depth += 1
+    try:
+        return _parse_or(tokens)
+    finally:
+        tokens.depth -= 1
 
 
 def _parse_or(tokens: _Tokens) -> Filter:

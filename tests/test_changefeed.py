@@ -406,20 +406,22 @@ class TestReplay:
 
     def test_failed_changefeed_call_leaves_no_side_effects(self):
         # A rejected since= must not switch on per-commit event
-        # construction (hub attach + registry pin) for the service's
-        # lifetime.
+        # construction (hub attach) for the service's lifetime.
         service = registrar_service()
         with pytest.raises(ChangefeedError):
             service.changefeed(since=99)
         service.apply(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
         with pytest.raises(ReplayGapError):
             service.changefeed(since=0)  # floor is already 1: unattached
-        assert service.updater._observers == []
+        assert service.stats()["pipeline"]["records_sealed"] == 0
         assert service.stats()["changefeed"]["attached"] is False
         # A successful call is what attaches.
         service.changefeed()
         assert service.stats()["changefeed"]["attached"] is True
-        assert len(service.updater._observers) == 2  # registry pin + hub
+        service.apply(InsertOp(
+            "course[cno=CS650]/prereq", "course", ("CS320", "Databases")
+        ))
+        assert service.stats()["pipeline"]["records_sealed"] == 1
 
     def test_rebuild_from_callback_is_rejected(self):
         from repro.errors import PlanError

@@ -4,10 +4,8 @@ What the phase split must and must not change:
 
 - ``service.stats()['pipeline']`` surfaces per-phase timings and lock
   wait/hold accounting; batches commit through one pipeline scope;
-- ``commit_pipeline=False`` restores the legacy single-phase critical
-  section with **byte-identical** observable behavior (events,
-  subscription results, deltas) — it exists as the measured pre-refactor
-  baseline of the ``pipeline`` benchmark experiment;
+- the pipeline is the only commit path (its observable output is pinned
+  by ``tests/test_commit_path_golden.py``);
 - pull-consumer backpressure: ``block_writer`` parks the publisher until
   the consumer drains (then detaches on timeout), ``drop_oldest``
   sacrifices the oldest queued event and stays attached;
@@ -108,32 +106,45 @@ class TestCommitPipeline:
         assert stats["records_sealed"] == 0
         assert service.changefeeds.stats()["events_published"] == 0
 
-    def test_disabled_pipeline_reports_none(self):
-        service = registrar_service(commit_pipeline=False)
-        assert service.pipeline is None
-        assert service.stats()["pipeline"] is None
+    def test_pipeline_always_installed(self):
+        service = registrar_service()
+        assert service.updater._sink is service.pipeline
+        assert isinstance(service.stats()["pipeline"], dict)
 
-    def test_config_rejects_non_bool(self):
-        with pytest.raises(ReproError):
-            ViewConfig(commit_pipeline="yes")
+    def test_config_rejects_removed_fields(self):
+        # The pipeline is the only commit path and the coarse threshold
+        # is a registry attribute: neither is a config field any more.
+        for field in ("commit_pipeline", "coarse_event_threshold"):
+            with pytest.raises(TypeError):
+                ViewConfig(**{field: True})
+            with pytest.raises(ReproError):
+                ViewConfig.from_dict({field: True})
 
-    @pytest.mark.parametrize("commits", [4])
-    def test_legacy_mode_is_observably_identical(self, commits):
-        def run(commit_pipeline):
-            service = registrar_service(commit_pipeline=commit_pipeline)
-            subs = [
-                service.subscribe(q)
-                for q in ("//course", "course[cno=CS650]//course")
-            ]
-            feed = service.changefeed()
-            toggle(service, commits)
-            events = [e.to_dict() for e in feed.events()]
-            return events, [
-                (sub.result(), sub.delta(), dict(sub.stats))
-                for sub in subs
-            ]
+    def test_direct_updater_call_publishes_at_once(self):
+        # Outside any write scope, a direct updater call publishes
+        # through the same seal → maintain → stage → deliver tail.
+        service = registrar_service()
+        sub = service.subscribe("//course")
+        feed = service.changefeed()
+        service.updater.rebuild()
+        [event] = feed.events()
+        assert event.coarse and event.reason == "rebuild"
+        assert sub.generation == event.generation
+        assert service.stats()["pipeline"]["records_sealed"] == 1
 
-        assert run(True) == run(False)
+    def test_direct_updater_batch_publishes_one_coalesced_event(self):
+        service = registrar_service()
+        sub = service.subscribe("//course")
+        feed = service.changefeed()
+        with service.updater.batch():
+            service.updater.apply_op(DELETE)
+            service.updater.apply_op(INSERT)
+        [event] = feed.events()
+        assert event.reason == "batch_flush"
+        assert event.generation == service.stats()["generation"]
+        assert sub.result() == tuple(
+            sorted(service.xpath(sub.path).targets)
+        )
 
 
 # ---------------------------------------------------------------------------

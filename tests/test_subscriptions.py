@@ -252,17 +252,29 @@ class TestRegistrarEquivalence:
 
     def test_observer_hooked_lazily_and_unhooked_on_last_close(self):
         """Services that never subscribe (or no longer have subscribers)
-        must not pay the commit-event construction cost."""
+        must not pay the commit-event construction cost: no commit
+        seals an event until the first subscribe(), and sealing stops
+        again after the last close()."""
         service = registrar_service()
-        assert service.updater._observers == []
+        toggle = (
+            DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"),
+            InsertOp("course[cno=CS650]/prereq", "course",
+                     ("CS320", "Databases")),
+        )
+
+        def sealed_after(op):
+            assert service.apply(op).accepted
+            return service.stats()["pipeline"]["records_sealed"]
+
+        assert [sealed_after(op) for op in toggle] == [0, 0]
         first = service.subscribe("//course")
         second = service.subscribe("course[cno=CS240]")
-        assert len(service.updater._observers) == 1  # one registry hook
+        assert [sealed_after(op) for op in toggle] == [1, 2]
         first.close()
-        assert len(service.updater._observers) == 1
+        assert [sealed_after(op) for op in toggle] == [3, 4]
         second.close()
-        assert service.updater._observers == []
-        # Re-subscribing re-hooks and stays correct.
+        assert [sealed_after(op) for op in toggle] == [4, 4]
+        # Re-subscribing switches events back on and stays correct.
         again = service.subscribe("//course")
         service.apply(
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
@@ -657,11 +669,12 @@ class TestFineGrainedBaseEvents:
         assert_current(service, [sub], "after relevant base update")
 
     def test_direct_apply_base_update_also_fine_grained(self):
-        # The unlocked-core path (no plan/commit) emits the same event.
+        # The unlocked-core path (no plan/commit) emits the same event,
+        # published at once through the commit pipeline's tail.
         service = registrar_service()
         sub = service.subscribe("course[cno=CS650]/prereq/course")
         events = []
-        service.updater.add_observer(events.append)
+        service.changefeed(on_event=events.append)
         from repro.relational.database import RelationalDelta
 
         delta = RelationalDelta()
@@ -707,7 +720,8 @@ class TestFineGrainedBaseEvents:
 
 class TestCoarseFallback:
     def test_threshold_zero_coarsens_every_fine_event(self):
-        service = registrar_service(coarse_event_threshold=0)
+        service = registrar_service()
+        service.subscriptions.coarse_threshold = 0
         subs = [service.subscribe(q) for q in REGISTRAR_QUERIES]
         service.apply(DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"))
         stats = service.subscriptions.stats()
@@ -725,17 +739,20 @@ class TestCoarseFallback:
         assert stats["skips"] == 1
 
     def test_threshold_surfaces_in_stats_and_config(self):
-        service = registrar_service(coarse_event_threshold=7)
-        assert service.subscriptions.stats()["coarse_threshold"] == 7
         from repro.subscribe.engine import DEFAULT_COARSE_THRESHOLD
 
-        default = registrar_service()
-        assert default.subscriptions.stats()["coarse_threshold"] == (
+        service = registrar_service()
+        assert service.subscriptions.stats()["coarse_threshold"] == (
             DEFAULT_COARSE_THRESHOLD
         )
+        service.subscriptions.coarse_threshold = 7
+        assert service.subscriptions.stats()["coarse_threshold"] == 7
+        # The threshold is a registry attribute, not a config field.
+        assert "coarse_event_threshold" not in service.config.to_dict()
 
     def test_equivalence_preserved_under_tiny_threshold(self):
-        service = registrar_service(coarse_event_threshold=1)
+        service = registrar_service()
+        service.subscriptions.coarse_threshold = 1
         subs = [service.subscribe(q) for q in REGISTRAR_QUERIES]
         for op in (
             DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]"),

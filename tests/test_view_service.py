@@ -13,6 +13,7 @@ The acceptance contract of the service layer:
 
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -470,52 +471,29 @@ class TestViewConfig:
 
 
 class TestLegacyShims:
-    def test_insert_shim_warns_and_works(self):
-        service = registrar_service()
-        with pytest.deprecated_call():
-            out = service.updater.insert(
-                "course[cno=CS650]/prereq", "course",
-                ("CS500", "Operating Systems"),
-            )
-        assert out.accepted
-        assert service.check_consistency() == []
-
-    def test_delete_shim_warns_and_works(self):
-        service = registrar_service()
-        with pytest.deprecated_call():
-            out = service.updater.delete(
-                "course[cno=CS650]/prereq/course[cno=CS320]"
-            )
-        assert out.accepted
-
-    def test_shim_accepts_parsed_paths(self):
-        from repro.xpath.parser import parse_xpath
-
-        service = registrar_service()
-        parsed = parse_xpath("course[cno=CS650]/prereq/course[cno=CS320]")
-        with pytest.deprecated_call():
-            out = service.updater.delete(parsed)
-        assert out.accepted
+    """The gate that guarded the migration off the removed
+    ``insert()``/``delete()`` shims stays: deprecated APIs must not be
+    called from inside the package."""
 
     def test_repro_internal_callers_fail_the_build(self):
-        """The CI gate: a shim call *from inside repro* is an error.
+        """The CI gate: a DeprecationWarning raised *from inside repro*
+        is an error.
 
         The filterwarnings config escalates DeprecationWarning to an
         error when the warning originates in a ``repro.*`` module.
-        Simulate an unmigrated internal caller by executing the shim
-        call under a ``repro.``-named module.
+        Simulate an internal caller of a deprecated API by warning from
+        a ``repro.``-named module.
         """
-        service = registrar_service()
         code = compile(
-            "service.updater.delete("
-            "'course[cno=CS650]/prereq/course[cno=CS320]')",
+            "warnings.warn('deprecated', DeprecationWarning)",
             "<repro-internal>",
             "exec",
         )
         with pytest.raises(DeprecationWarning):
             exec(
                 code,
-                {"__name__": "repro._unmigrated_caller", "service": service},
+                {"__name__": "repro._unmigrated_caller",
+                 "warnings": warnings},
             )
 
 

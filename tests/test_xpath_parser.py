@@ -16,7 +16,7 @@ from repro.xpath.ast import (
     WildcardStep,
     XPath,
 )
-from repro.xpath.parser import parse_xpath
+from repro.xpath.parser import MAX_FILTER_DEPTH, parse_xpath
 
 
 class TestBasicPaths:
@@ -224,6 +224,57 @@ class TestErrors:
     def test_syntax_errors(self, bad):
         with pytest.raises(XPathSyntaxError):
             parse_xpath(bad)
+
+
+def _nested(depth: int, opener: str = "[not(b", closer: str = ")]") -> str:
+    return "a" + opener * depth + closer * depth
+
+
+class TestNestingLimit:
+    """Deep filter nesting is a syntax error, not a RecursionError."""
+
+    @pytest.mark.parametrize(
+        "opener, closer", [("[not(b", ")]"), ("[b", "]"), ("[(b", ")]")]
+    )
+    def test_deep_nesting_rejected(self, opener, closer):
+        with pytest.raises(XPathSyntaxError, match="nested deeper"):
+            parse_xpath(_nested(3000, opener, closer))
+
+    def test_limit_itself_parses_renders_and_evaluates(self):
+        from repro.service import open_view
+        from repro.workloads.registrar import build_registrar
+
+        with pytest.raises(XPathSyntaxError, match="nested deeper"):
+            parse_xpath(_nested(MAX_FILTER_DEPTH + 1, "[b", "]"))
+        # ``[not(b`` opens two filter levels per repetition.
+        text = _nested(MAX_FILTER_DEPTH // 2)
+        parsed = parse_xpath(text)
+        assert parse_xpath(str(parsed)) == parsed
+        atg, db = build_registrar()
+        service = open_view(atg, db)
+        assert service.xpath(text).targets == []
+        service.subscribe(text)
+
+    def test_service_rejects_deep_path_without_side_effects(self):
+        from repro.ops import DeleteOp
+        from repro.service import open_view
+        from repro.workloads.registrar import build_registrar
+
+        atg, db = build_registrar()
+        service = open_view(atg, db)
+        before = service.stats()["generation"]
+        deep = _nested(3000)
+        with pytest.raises(XPathSyntaxError):
+            parse_xpath(deep)
+        with pytest.raises(XPathSyntaxError):
+            service.apply(DeleteOp(deep))
+        # The rejected write left no outstanding plan behind.
+        assert service.stats()["generation"] == before
+        assert service.check_consistency() == []
+        outcome = service.apply(
+            DeleteOp("course[cno=CS650]/prereq/course[cno=CS320]")
+        )
+        assert outcome.accepted
 
 
 class TestRendering:
